@@ -29,7 +29,9 @@ Three bench groups, each with its own trajectory record:
   and records the trial-count ratio as the group's ``speedup``
   (``docs/steering.md``).  ``--min-trials-saved`` gates the ratio in
   CI; like the dist group it bypasses ``--min-speedup`` (the gain is
-  statistical — fewer trials — not vectorization).
+  statistical — fewer trials — not vectorization).  ``wall_ratio`` =
+  ``uniform_s / steered_s`` is gated by ``--min-steer-wall-ratio``, so
+  the surrogate's fit cost cannot grow unnoticed.
 
 Each run appends one entry — machine info, wall-clock timings,
 speedups — to the group's record.  See ``docs/performance.md`` for how
@@ -488,7 +490,9 @@ def bench_steered_campaign(budget, rounds):
     half-width on the matmul seed program; the recorded ``speedup`` is
     the uniform/steered executed-trial ratio — the quantity steering
     exists to improve — so ``check_regression`` and
-    ``--min-trials-saved`` gate it directly.  Contracts checked here:
+    ``--min-trials-saved`` gate it directly.  ``wall_ratio`` is the
+    uniform/steered wall-clock ratio (``--min-steer-wall-ratio``).
+    Contracts checked here:
     both runs stop on the CI target (not budget exhaustion) and the
     steered estimate lands inside the uniform run's Wilson reference
     interval (unbiasedness under adaptive allocation).
@@ -528,6 +532,7 @@ def bench_steered_campaign(budget, rounds):
         "steered_s": steered_s,
         "uniform_s": uniform_s,
         "speedup": uniform_trials / steered_trials,
+        "wall_ratio": uniform_s / steered_s,
         "steered_trials": steered_trials,
         "uniform_trials": uniform_trials,
         "trials_saved": steered.steering["trials_saved"],
@@ -686,6 +691,7 @@ def run_steer_benches(budget, rounds):
             f"uniform {result['uniform_trials']:5d} trials "
             f"({result['uniform_s']*1e3:8.1f} ms)   "
             f"trials saved {result['speedup']:4.1f}x   "
+            f"wall ratio {result['wall_ratio']:.3f}   "
             f"AVF {result['steered_estimate']:.4f} "
             f"±{result['steered_halfwidth']:.4f} "
             f"(ref {result['reference_lo']:.4f}"
@@ -817,6 +823,10 @@ def main(argv=None):
                         help="fail when the steered campaign saves fewer "
                              "than this factor of trials vs the uniform "
                              "baseline (CI passes 3)")
+    parser.add_argument("--min-steer-wall-ratio", type=float, default=None,
+                        help="fail when uniform_s / steered_s of the "
+                             "steered-campaign bench is below this "
+                             "(CI passes 0.2)")
     parser.add_argument("--min-dist-speedup", type=float, default=None,
                         help="fail when the 1-to-max-worker fqueue or tcp "
                              "throughput gain is below this (CI passes 2)")
@@ -904,6 +914,15 @@ def main(argv=None):
             f"FAIL steered_campaign: trials-saved ratio "
             f"{steer['speedup']:.1f}x < required "
             f"{args.min_trials_saved:.1f}x",
+            file=sys.stderr,
+        )
+        status = 1
+    if (args.min_steer_wall_ratio is not None
+            and steer["wall_ratio"] < args.min_steer_wall_ratio):
+        print(
+            f"FAIL steered_campaign: wall ratio uniform/steered "
+            f"{steer['wall_ratio']:.3f} < required "
+            f"{args.min_steer_wall_ratio:.3f}",
             file=sys.stderr,
         )
         status = 1

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.ml.ensemble import GradientBoostingClassifier, RandomForestClassifier
 from repro.ml.mlp import MLPClassifier, MLPRegressor
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _Node
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 _KIND_CLASSIFIER = "classifier"
 _KIND_REGRESSOR = "regressor"
@@ -65,64 +65,21 @@ def load_mlp(path):
     return model
 
 
-def _flatten_tree(root):
-    """Preorder arrays for one CART tree: (feature, threshold, left, right, values).
-
-    ``feature`` is ``-1`` at leaves; ``left``/``right`` are node indices
-    (``-1`` at leaves); ``values`` keeps every node's value (internal
-    nodes carry one too), in the value's natural dtype so classifier
-    labels survive without pickle.
-    """
-    feature, threshold, left, right, values = [], [], [], [], []
-
-    def walk(node):
-        idx = len(feature)
-        feature.append(-1 if node.is_leaf else int(node.feature))
-        threshold.append(0.0 if node.is_leaf else float(node.threshold))
-        left.append(-1)
-        right.append(-1)
-        values.append(node.value)
-        if not node.is_leaf:
-            left[idx] = walk(node.left)
-            right[idx] = walk(node.right)
-        return idx
-
-    walk(root)
-    return (
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=float),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(values),
-    )
-
-
-def _rebuild_tree(feature, threshold, left, right, values):
-    """Inverse of :func:`_flatten_tree`; returns the root ``_Node``."""
-    nodes = [_Node(value=values[i]) for i in range(len(feature))]
-    for i in range(len(feature)):
-        if left[i] >= 0:
-            nodes[i].feature = int(feature[i])
-            nodes[i].threshold = float(threshold[i])
-            nodes[i].left = nodes[left[i]]
-            nodes[i].right = nodes[right[i]]
-    return nodes[0] if nodes else _Node()
+_TREE_ARRAYS = (
+    ("f", "feature_"), ("t", "threshold_"), ("l", "left_"), ("r", "right_"),
+    ("v", "value_"),
+)
 
 
 def _tree_payload(payload, prefix, tree):
-    f, t, lo, hi, v = _flatten_tree(tree._root)
-    payload[f"{prefix}f"] = f
-    payload[f"{prefix}t"] = t
-    payload[f"{prefix}l"] = lo
-    payload[f"{prefix}r"] = hi
-    payload[f"{prefix}v"] = v
+    """Store one tree's flat preorder arrays (see :mod:`repro.ml.tree`)."""
+    for key, attr in _TREE_ARRAYS:
+        payload[f"{prefix}{key}"] = getattr(tree, attr)
 
 
 def _tree_from_payload(data, prefix, tree):
-    tree._root = _rebuild_tree(
-        data[f"{prefix}f"], data[f"{prefix}t"],
-        data[f"{prefix}l"], data[f"{prefix}r"], data[f"{prefix}v"],
-    )
+    for key, attr in _TREE_ARRAYS:
+        setattr(tree, attr, data[f"{prefix}{key}"])
     return tree
 
 
@@ -131,8 +88,11 @@ def save_ensemble(model, path):
 
     Supports :class:`~repro.ml.ensemble.RandomForestClassifier` and
     :class:`~repro.ml.ensemble.GradientBoostingClassifier` — the model
-    families the campaign-steering surrogate uses.  Every tree is
-    flattened to plain arrays; nothing is pickled.
+    families the campaign-steering surrogate uses.  Every tree is saved as
+    its flat arrays (forest trees add their leaf class distributions);
+    nothing is pickled.  Forest files written before the class
+    distributions were saved have no ``t{i}_p`` arrays and must be
+    re-saved: :func:`load_ensemble` raises ``KeyError`` on them.
     """
     if isinstance(model, RandomForestClassifier):
         if not model.trees_:
@@ -151,6 +111,7 @@ def save_ensemble(model, path):
         for i, tree in enumerate(model.trees_):
             _tree_payload(payload, f"t{i}_", tree)
             payload[f"t{i}_classes"] = np.asarray(tree.classes_)
+            payload[f"t{i}_p"] = tree.proba_
     elif isinstance(model, GradientBoostingClassifier):
         if not model.trees_:
             raise ValueError("model must be fitted before saving")
@@ -192,9 +153,7 @@ def load_ensemble(path):
             for i in range(int(data["n_trees"])):
                 tree = DecisionTreeClassifier(max_depth=params["max_depth"])
                 tree.classes_ = data[f"t{i}_classes"]
-                tree._class_index = {
-                    c: k for k, c in enumerate(tree.classes_)
-                }
+                tree.proba_ = data[f"t{i}_p"]
                 model.trees_.append(_tree_from_payload(data, f"t{i}_", tree))
         elif kind == _KIND_GBDT:
             model = GradientBoostingClassifier(

@@ -161,8 +161,29 @@ class TestDecisionTree:
         # Threshold candidates are quantile-capped, so the split may land a
         # sample off the exact boundary; near-perfect is the contract.
         assert accuracy_score(y, model.predict(X)) >= 0.95
-        root = model._root
-        assert root.left.is_leaf and root.right.is_leaf
+        # Flat preorder arrays: a root and two leaves.
+        assert list(model.left_) == [1, -1, -1]
+        assert list(model.right_) == [2, -1, -1]
+        assert list(model.feature_) == [0, -1, -1]
+
+    def test_predict_proba_is_leaf_distribution(self):
+        # Depth 1 cannot separate the classes: both leaves stay mixed.
+        X = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float).reshape(-1, 1)
+        y = np.array([0, 0, 0, 1, 1, 1, 0, 2])
+        w = np.array([1, 1, 1, 1, 1, 1, 2, 4], dtype=float)
+        model = DecisionTreeClassifier(max_depth=1).fit(X, y, sample_weight=w)
+        proba = model.predict_proba(np.array([[0.0], [1.0]]))
+        assert np.allclose(proba, [[0.75, 0.25, 0.0], [0.25, 0.25, 0.5]])
+        assert np.allclose(proba.sum(axis=1), 1.0)
+        # predict stays the leaf's weighted majority (first max on ties).
+        assert list(model.predict(np.array([[0.0], [1.0]]))) == [0, 2]
+
+    def test_predict_tie_break_is_first_class(self):
+        X = np.zeros((4, 1))
+        y = np.array([1, 0, 0, 1])
+        model = DecisionTreeClassifier(max_depth=1).fit(X, y)
+        assert model.predict(np.zeros((1, 1)))[0] == 0
+        assert np.allclose(model.predict_proba(np.zeros((1, 1))), [[0.5, 0.5]])
 
     def test_sample_weights_shift_majority(self):
         X = np.zeros((4, 1))
@@ -270,6 +291,8 @@ class TestEnsemblePersistence:
         assert isinstance(loaded, RandomForestClassifier)
         assert np.array_equal(loaded.predict(X), model.predict(X))
         assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+        for saved, restored in zip(model.trees_, loaded.trees_):
+            assert np.array_equal(restored.predict_proba(X), saved.predict_proba(X))
 
     def test_gbdt_roundtrip_multiclass(self, blobs3, tmp_path):
         from repro.ml import load_ensemble, save_ensemble

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import obs
 from repro.arch import (
     FaultInjector,
     Outcome,
@@ -202,6 +203,11 @@ class TestSteeredUnitSource:
             with pytest.raises(ValueError):
                 SteeringConfig(**bad).validate()
 
+    def test_knn_surrogate_is_rejected(self):
+        # The kNN surrogate crashed on its first refit and was removed.
+        with pytest.raises(ValueError, match="surrogate"):
+            SteeringConfig(surrogate="knn").validate()
+
     def test_locate_inverts_generation_bounds_when_bins_uneven(self):
         # Regression: golden_cycles=10, phase_bins=4 gives the floor
         # partition [0, 2, 5, 7, 10].  The old ``cycle * bins //
@@ -264,7 +270,44 @@ class TestSteeredUnitSource:
         assert source.available() > first_round_units
 
 
+#: SHA-256 (``_digest``) of the ``steered`` fixture's records.  Any change
+#: to the surrogate's arithmetic (tree splits, GBDT updates, feature
+#: scaling) moves the allocation and with it this digest.
+STEERED_CHECKSUM_DIGEST = (
+    "475b4dc7378a59605f021f679c490f80a80b670547bdb6dad6b7e908620b3650"
+)
+
+
 class TestSteeredCampaign:
+    def test_steered_records_are_pinned(self, steered):
+        assert _digest(steered) == STEERED_CHECKSUM_DIGEST
+
+    def test_refit_spans_match_counted_refits(self, injector):
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        try:
+            result = injector.run_steered_campaign(budget=1024, seed=5)
+            tree = obs.span_tree()
+        finally:
+            obs.disable()
+            obs.reset()
+
+        refits = []
+
+        def walk(node):
+            if node["name"] == "arch.fi.steering.refit":
+                refits.append(node)
+            for child in node["children"]:
+                walk(child)
+
+        walk(tree)
+        assert result.steering["refits"] >= 1
+        assert sum(node["count"] for node in refits) == result.steering["refits"]
+        for node in refits:
+            assert node["attrs"]["surrogate"] == "gbdt"
+            assert node["attrs"]["samples"] > 0
+
     def test_early_stop_saves_trials(self, steered):
         s = steered.steering
         assert s["stopped_early"] and s["stop_reason"] == "target"
