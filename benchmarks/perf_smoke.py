@@ -9,7 +9,10 @@ Three bench groups, each with its own trajectory record:
 * **fi** (``BENCH_fi.json``) — times a fault-injection campaign on the
   trial-vectorized (batched), checkpoint-and-replay (forked), and
   full-rerun (reference) engines, verifying the records are
-  bit-identical across all three (see ``docs/fi-engine.md``).
+  bit-identical across all three (see ``docs/fi-engine.md``), and
+  records the absolute uniform-campaign throughput (``trials_per_s``)
+  of every program in ``programs.all_programs()``.  The throughput rows
+  are recorded, not gated: absolute rates are machine-bound.
 * **obs** (``BENCH_obs.json``) — times the same campaign with telemetry
   recording off vs on (spans, metrics, and the flight-recorder event
   stream); ``--max-obs-overhead 0.05`` gates the observability layer's
@@ -84,6 +87,9 @@ HIT_RATE_TOLERANCE = 0.15
 # on *both* engines, so a loose budget only measures the hang rate, not
 # the engine (docs/performance.md, "The fault-injection engine").
 FI_HANG_BUDGET_FACTOR = 1.5
+# Uniform-campaign throughput rows: trials per campaign (the perfbench
+# fi-uniform campaign size), on the default batched engine.
+FI_THROUGHPUT_TRIALS = 4096
 # Scale-determining result keys: regression checks skip a bench when the
 # baseline ran at a different scale (speedups are scale-dependent).
 SCALE_KEYS = ("n_runs", "n_trials", "n_units")
@@ -291,6 +297,41 @@ def bench_fi_campaign_batched(n_trials, rounds):
         "n_trials": n_trials,
         "program": program.name,
         "golden_cycles": batched.golden_cycles,
+        "hang_budget_factor": FI_HANG_BUDGET_FACTOR,
+    }
+
+
+def bench_fi_throughput(n_trials, rounds):
+    """Absolute uniform-campaign throughput on every corpus program.
+
+    Recorded, not gated (no ``speedup`` key): trials per second depend
+    on the machine, so they serve as the honest baseline a later engine
+    or coordinate-generation change is measured against.  The campaign
+    size is fixed at ``FI_THROUGHPUT_TRIALS``, whatever ``--trials``.
+    """
+    from repro.arch import FaultInjector
+    from repro.arch import programs as P
+
+    rows = {}
+    for program in P.all_programs():
+        injector = FaultInjector(
+            program, max_cycles_factor=FI_HANG_BUDGET_FACTOR
+        )
+        seconds, _ = _timed(
+            lambda: injector.run_campaign(
+                n_trials=FI_THROUGHPUT_TRIALS, seed=0
+            ),
+            rounds,
+        )
+        rows[program.name] = {
+            "campaign_s": seconds,
+            "trials_per_s": FI_THROUGHPUT_TRIALS / seconds,
+            "golden_cycles": injector.golden_cycles,
+        }
+    return {
+        "programs": rows,
+        "engine": "batched",
+        "campaign_trials": FI_THROUGHPUT_TRIALS,
         "hang_budget_factor": FI_HANG_BUDGET_FACTOR,
     }
 
@@ -562,6 +603,7 @@ OBS_BENCHES = {
 FI_BENCHES = {
     "fi_campaign": bench_fi_campaign,
     "fi_campaign_batched": bench_fi_campaign_batched,
+    "fi_throughput": bench_fi_throughput,
 }
 DIST_BENCHES = {
     "dist_scaling": bench_dist_scaling,
@@ -617,6 +659,14 @@ def run_fi_benches(n_trials, rounds):
     for name, bench in FI_BENCHES.items():
         result = bench(n_trials, rounds)
         entry["results"][name] = result
+        if "programs" in result:
+            rates = ", ".join(
+                f"{program} {row['trials_per_s']:.0f}"
+                for program, row in result["programs"].items()
+            )
+            print(f"{name}: trials/s ({result['campaign_trials']}-trial "
+                  f"uniform campaigns): {rates}")
+            continue
         fast = "batched" if "batched_s" in result else "forked"
         line = (
             f"{name}: {fast} {result[fast + '_s']*1e3:8.1f} ms   "
@@ -760,6 +810,8 @@ def _gate_entry(entry, args, check_path, output_path, benchmark):
     status = 0
     if args.min_speedup is not None:
         for name, result in entry["results"].items():
+            if "speedup" not in result:
+                continue  # recorded-only row (absolute throughput)
             if result["speedup"] < args.min_speedup:
                 print(
                     f"FAIL {name}: speedup {result['speedup']:.1f}x "

@@ -13,10 +13,11 @@ the paper's Sec. III (and ref [24]) uses:
   detectors key on.
 
 Campaign execution is delegated to the shared runtime layer
-(:mod:`repro.runtime`): each trial draws from its own deterministic
-seed stream, so campaigns can fan out over a process pool (``jobs``),
-memoize chunks on disk (``cache``), and report progress — with results
-bit-identical to the serial path.  See ``docs/campaigns.md``.
+(:mod:`repro.runtime`): each trial draws its coordinates from its own
+counter block of a Philox stream keyed by the campaign seed
+(:mod:`repro.runtime.seeding`), so campaigns can fan out over a process
+pool (``jobs``), memoize chunks on disk (``cache``), and report progress
+— with results bit-identical to the serial path.  See ``docs/campaigns.md``.
 
 Trial execution itself runs on one of three engines (``engine=``):
 
@@ -55,6 +56,7 @@ import numpy as np
 from repro import obs
 from repro.arch.cpu import CPU, CrashError
 from repro.runtime import CampaignRunner, stable_digest
+from repro.runtime.seeding import bounded
 
 #: Trial-execution engines (``"auto"`` resolves to ``"batched"``).
 ENGINES = ("auto", "batched", "forked", "reference")
@@ -566,8 +568,9 @@ class FaultInjector:
                      transport_options=None):
         """Uniformly random (cycle, element, bit) injection campaign.
 
-        Trial ``i`` samples its coordinates from the seed stream
-        ``(seed, i)`` regardless of chunking, so any ``jobs`` or
+        Trial ``i`` takes its coordinates from counter block ``i`` of
+        the Philox stream keyed by ``seed`` (which must lie in
+        ``[0, 2**64)``) regardless of chunking, so any ``jobs`` or
         ``chunk_size`` value yields identical records
         (``chunk_size=None`` picks the engine default).  ``cache`` (a
         :class:`repro.runtime.ResultCache`) memoizes trial chunks;
@@ -631,27 +634,35 @@ class FaultInjector:
 def _random_chunk(injector, elements, chunk):
     """Execute one trial chunk of a random campaign (process-pool worker).
 
-    Coordinates are drawn per-trial from the chunk's seed streams and
-    then executed together via :meth:`FaultInjector.inject_many`, so
-    the batched engine sees the whole chunk as one sweep while the draw
-    order (hence every record) stays engine- and chunk-independent.
+    Trial ``i`` maps words 0, 1 and 2 of its Philox counter block to its
+    cycle, element and bit; the whole chunk's coordinates come from one
+    vectorized block read, then run together via
+    :meth:`FaultInjector.inject_many`, so the batched engine sees the
+    chunk as one sweep while every record stays engine- and
+    chunk-independent.
     """
     with obs.span("arch.fault_injection.chunk", trials=len(chunk)):
-        coords = []
-        for rng in chunk.rngs():
-            cycle = int(rng.integers(0, injector.golden_cycles))
-            element = elements[int(rng.integers(len(elements)))]
-            bit = int(rng.integers(0, 32))
-            coords.append((cycle, element, bit))
+        with obs.span("arch.fi.coords", trials=len(chunk)):
+            words = chunk.words()
+            cycles = bounded(words[:, 0], injector.golden_cycles).tolist()
+            picks = bounded(words[:, 1], len(elements)).tolist()
+            bits = bounded(words[:, 2], 32).tolist()
+            coords = [
+                (cycle, elements[pick], bit)
+                for cycle, pick, bit in zip(cycles, picks, bits)
+            ]
         return injector.inject_many(coords)
 
 
 def _element_chunk(injector, element, chunk):
-    """Execute one trial chunk of a single-element campaign."""
+    """Execute one trial chunk of a single-element campaign.
+
+    Words 0 and 1 of each trial's counter block pick its cycle and bit.
+    """
     with obs.span("arch.fault_injection.chunk", trials=len(chunk)):
-        coords = []
-        for rng in chunk.rngs():
-            cycle = int(rng.integers(0, injector.golden_cycles))
-            bit = int(rng.integers(0, 32))
-            coords.append((cycle, element, bit))
+        with obs.span("arch.fi.coords", trials=len(chunk)):
+            words = chunk.words()
+            cycles = bounded(words[:, 0], injector.golden_cycles).tolist()
+            bits = bounded(words[:, 1], 32).tolist()
+            coords = [(cycle, element, bit) for cycle, bit in zip(cycles, bits)]
         return injector.inject_many(coords)

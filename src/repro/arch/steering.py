@@ -56,13 +56,13 @@ from repro.runtime.stats import (
     wilson_interval,
 )
 
-#: First element of the acquisition stream's ``spawn_key``.  The seed
-#: tree already assigns arity-1 keys ``(trial,)`` to campaign trials
-#: (:func:`repro.runtime.seeding.trial_seed_sequence`) and arity-2 keys
-#: ``(unit, attempt)`` rooted at the *jitter* seed to retry backoff
-#: (:mod:`repro.runtime.policy`); steering takes the arity-2 namespace
-#: ``(STEER_STREAM_KEY, round)`` rooted at the campaign seed, with a
-#: first component far above any real unit index.
+#: First element of the acquisition stream's ``spawn_key``.  The
+#: ``SeedSequence`` tree assigns arity-2 keys ``(unit, attempt)`` rooted
+#: at the *jitter* seed to retry backoff (:mod:`repro.runtime.policy`);
+#: steering takes the arity-2 namespace ``(STEER_STREAM_KEY, round)``
+#: rooted at the campaign seed, with a first component far above any
+#: real unit index.  (Uniform campaign trials draw from Philox streams,
+#: :mod:`repro.runtime.seeding`, not from this tree.)
 STEER_STREAM_KEY = 0x53544545  # "STEE"
 
 STEER_STREAM_DOC = (

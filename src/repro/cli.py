@@ -222,6 +222,10 @@ def run_fi(args):
     resolved = {"fi_engine": stats}
     if steering is not None:
         resolved["steering"] = steering
+    else:
+        from repro.runtime import TRIAL_STREAM
+
+        resolved["trial_stream"] = TRIAL_STREAM
     return resolved
 
 

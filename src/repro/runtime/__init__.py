@@ -7,9 +7,9 @@ sweep of independent trials.  This package provides the one runtime
 they all share:
 
 :mod:`repro.runtime.seeding`
-    Deterministic per-trial seed streams
-    (``SeedSequence(entropy=seed, spawn_key=(i,))``) so parallel and
-    serial runs are bit-identical.
+    Deterministic per-trial streams (counter-based Philox: trial ``i``
+    owns counter block ``i`` of the stream keyed by the campaign seed)
+    so parallel and serial runs are bit-identical.
 :mod:`repro.runtime.cache`
     Digest-addressed on-disk result cache so re-running a sweep only
     executes new points.
@@ -76,7 +76,12 @@ from repro.runtime.runner import (
     chunk_bounds,
 )
 from repro.runtime.scheduler import CampaignScheduler, ChunkSource, ListSource
-from repro.runtime.seeding import spawn_trial_seeds, trial_rng, trial_seed_sequence
+from repro.runtime.seeding import (
+    TRIAL_STREAM,
+    bounded,
+    trial_rng,
+    trial_words,
+)
 from repro.runtime.stats import (
     hoeffding_halfwidth,
     stratified_estimate,
@@ -126,9 +131,10 @@ __all__ = [
     "create_transport",
     "worker_main",
     "tcp_worker_main",
-    "spawn_trial_seeds",
+    "TRIAL_STREAM",
+    "bounded",
     "trial_rng",
-    "trial_seed_sequence",
+    "trial_words",
     "hoeffding_halfwidth",
     "stratified_estimate",
     "wilson_halfwidth",

@@ -26,10 +26,10 @@ CampaignRunner` reacts to unit failures:
 Retry determinism contract
 --------------------------
 Retrying never reseeds the **workload**: trial ``i`` always draws from
-``SeedSequence(entropy=seed, spawn_key=(i,))`` (see
-:mod:`repro.runtime.seeding`) no matter how many attempts its unit
-needed, so a campaign that suffered crashes, hangs, and retries
-produces results bit-identical to an undisturbed run.  What *is*
+the same Philox counter block or generator, a pure function of
+``(seed, i)`` (see :mod:`repro.runtime.seeding`), no matter how many
+attempts its unit needed, so a campaign that suffered crashes, hangs,
+and retries produces results bit-identical to an undisturbed run.  What *is*
 reseeded per attempt is the backoff jitter, from the child stream
 
     ``SeedSequence(entropy=jitter_seed, spawn_key=(unit_index, attempt))``

@@ -10,20 +10,22 @@ reference, ``pool`` process pool, ``fqueue`` shared-filesystem worker
 queue, ``tcp`` socket stream for shared-nothing hosts) and guarantees
 four properties the studies rely on:
 
-**Determinism** — trial ``i`` draws from the seed stream
-``SeedSequence(entropy=seed, spawn_key=(i,))`` (see
-:mod:`repro.runtime.seeding`), so results are bit-identical for any
-``jobs`` / ``chunk_size`` / transport combination, including the serial
-path — and, because retries never reseed the workload (see
-:mod:`repro.runtime.policy`), including runs that suffered crashes,
-hangs, worker churn, or resumes.
+**Determinism** — trial ``i`` draws from counter block ``i`` of the
+Philox stream keyed by the campaign seed, or from its own Philox
+generator (see :mod:`repro.runtime.seeding`), so results are
+bit-identical for any ``jobs`` / ``chunk_size`` / transport
+combination, including the serial path — and, because retries never
+reseed the workload (see :mod:`repro.runtime.policy`), including runs
+that suffered crashes, hangs, worker churn, or resumes.
 
 **Memoization** — with a :class:`~repro.runtime.cache.ResultCache`
 attached, each unit (a :class:`TrialChunk` or a mapped item) is keyed by
-the campaign fingerprint plus its own coordinates; a re-run executes
-only units not cached yet.  Chunk boundaries depend only on
-``chunk_size`` (never on ``jobs``), so cached chunks stay valid when the
-worker count changes.
+the campaign fingerprint plus its own coordinates (for a chunk: the
+trial-stream tag :data:`~repro.runtime.seeding.TRIAL_STREAM`, the seed,
+and its trial range, so records drawn from another stream are never
+replayed); a re-run executes only units not cached yet.  Chunk
+boundaries depend only on ``chunk_size`` (never on ``jobs``), so cached
+chunks stay valid when the worker count changes.
 
 **Fault tolerance** — the paper's own checkpoint/rollback discipline,
 applied to the harness: unit failures are retried with exponential
@@ -205,7 +207,8 @@ class CampaignRunner:
         results.  ``key`` must fingerprint everything (besides seed and
         trial range) that determines a trial's result; it namespaces the
         cache entries.  Chunks are generated lazily — a 10M-trial
-        campaign never materializes its unit list.
+        campaign never materializes its unit list.  ``seed`` must lie in
+        ``[0, 2**64)`` (``ValueError`` otherwise, before any unit runs).
         """
         source = ChunkSource(seed, n_trials, self.chunk_size)
         per_chunk = self._execute(worker, source, key, unit_is_batch=True)

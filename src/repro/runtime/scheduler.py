@@ -41,12 +41,10 @@ import pickle
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro import obs
 from repro.runtime.cache import MISS, stable_digest
 from repro.runtime.manifest import CampaignManifest
-from repro.runtime.seeding import trial_seed_sequence
+from repro.runtime.seeding import TRIAL_STREAM, check_seed, trial_rng, trial_words
 from repro.runtime.telemetry import ProgressEvent
 from repro.runtime.transports import InlineTransport, TransportContext
 
@@ -96,13 +94,18 @@ class TrialChunk:
         """The trial indices this chunk covers, as a range."""
         return range(self.start, self.stop)
 
-    def seed_sequences(self):
-        """One independent seed stream per trial in the chunk."""
-        return [trial_seed_sequence(self.seed, i) for i in self.indices]
+    def words(self):
+        """The chunk's Philox counter blocks: ``(len(self), 4)`` uint64.
+
+        Row ``r`` belongs to trial ``start + r`` (see
+        :func:`repro.runtime.seeding.trial_words`); map it to bounded
+        integers with :func:`repro.runtime.seeding.bounded`.
+        """
+        return trial_words(self.seed, self.start, self.stop)
 
     def rngs(self):
         """One independent :class:`numpy.random.Generator` per trial."""
-        return [np.random.default_rng(ss) for ss in self.seed_sequences()]
+        return [trial_rng(self.seed, i) for i in self.indices]
 
 
 def chunk_bounds(n_trials, chunk_size=DEFAULT_CHUNK_SIZE):
@@ -122,10 +125,12 @@ class ChunkSource:
 
     Nothing about a chunk depends on its neighbours, so unit ``i`` is a
     pure function of ``(seed, chunk_size, n_trials, i)`` and a
-     10M-trial campaign costs O(window) memory, not O(n).
+    10M-trial campaign costs O(window) memory, not O(n).  The seed must
+    lie in the trial streams' domain ``[0, 2**64)``.
     """
 
     def __init__(self, seed, n_trials, chunk_size):
+        seed = check_seed(seed)
         if n_trials < 0:
             raise ValueError("n_trials must be non-negative")
         if chunk_size < 1:
@@ -147,9 +152,9 @@ class ChunkSource:
         return TrialChunk(self.seed, start, stop)
 
     def key(self, i):
-        """The unit's cache-key coordinates."""
+        """The unit's cache-key coordinates, tagged with the trial stream."""
         start, stop = self._bounds(i)
-        return ("trials", self.seed, start, stop)
+        return ("trials", TRIAL_STREAM, self.seed, start, stop)
 
     def weight(self, i):
         """Trials carried by unit ``i``."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.arch import FaultInjector, FIAccelerationStudy, Outcome
 from repro.arch import programs as P
 from repro.arch.vulnerability import (
@@ -65,6 +66,41 @@ class TestFaultInjector:
         empty = CampaignResult(program="x", golden_output=(), golden_cycles=1)
         with pytest.raises(ValueError):
             empty.rates()
+
+
+class TestCoordinateSpans:
+    @staticmethod
+    def _span_count(tree, name):
+        own = tree["count"] if tree["name"] == name else 0
+        return own + sum(TestCoordinateSpans._span_count(c, name)
+                         for c in tree["children"])
+
+    def _coords_spans(self, campaign):
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        try:
+            campaign()
+            tree = obs.span_tree()
+        finally:
+            obs.disable()
+            obs.reset()
+        return (self._span_count(tree, "arch.fi.coords"),
+                self._span_count(tree, "arch.fault_injection.chunk"))
+
+    def test_one_coords_span_per_random_chunk(self, injector):
+        coords, chunks = self._coords_spans(lambda: injector.run_campaign(
+            n_trials=100, seed=1, chunk_size=16
+        ))
+        assert coords == chunks == 7
+
+    def test_one_coords_span_per_element_chunk(self, injector):
+        coords, chunks = self._coords_spans(
+            lambda: injector.exhaustive_element_campaign(
+                "reg3", n_trials=50, seed=1, chunk_size=16
+            )
+        )
+        assert coords == chunks == 4
 
 
 class TestVulnerabilityFeatures:

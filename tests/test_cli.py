@@ -206,6 +206,28 @@ class TestMain:
         assert (counters["arch.fi.steering.trials_saved"]
                 == steering["trials_saved"])
 
+    def test_fi_recorded_run_names_its_trial_stream(self, capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = tmp_path / "runs"
+        assert main(["fi", "--trials", "64", "--no-cache",
+                     "--record", str(runs)]) == 0
+        capsys.readouterr()
+        from repro.obs import load_run_record
+        from repro.runtime import TRIAL_STREAM
+
+        record = load_run_record(runs)
+        assert record["meta"]["config"]["resolved"]["trial_stream"] == TRIAL_STREAM
+        names = []
+
+        def walk(node):
+            names.append(node["name"])
+            for child in node["children"]:
+                walk(child)
+
+        walk(record["spans"]["root"])
+        assert "arch.fi.coords" in names
+
     def test_progress_on_fully_cached_rerun_prints_no_rate(self, capsys, tmp_path,
                                                            monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -10,10 +10,9 @@ from repro.runtime import (
     ResultCache,
     TrialChunk,
     chunk_bounds,
-    spawn_trial_seeds,
     stable_digest,
     trial_rng,
-    trial_seed_sequence,
+    trial_words,
 )
 
 
@@ -27,30 +26,38 @@ def _square(x):
 
 
 class TestSeeding:
-    def test_matches_seedsequence_spawn(self):
-        # The contract: trial i's stream IS the i-th spawned child.
-        children = np.random.SeedSequence(42).spawn(8)
-        for i, child in enumerate(children):
-            ours = trial_seed_sequence(42, i)
-            assert np.array_equal(
-                ours.generate_state(4), child.generate_state(4)
-            )
+    def test_blocks_are_philox_counter_blocks(self):
+        # The contract: trial i's words ARE counter block i of the Philox
+        # stream keyed by the seed, read from the start of the stream.
+        flat = np.random.Philox(key=42).random_raw(4 * 8)
+        assert np.array_equal(trial_words(42, 0, 8).ravel(), flat)
+        assert np.array_equal(trial_words(42, 5, 8).ravel(), flat[20:])
 
     def test_streams_independent_of_campaign_size(self):
         assert trial_rng(7, 5).random() == trial_rng(7, 5).random()
-        seeds_small = spawn_trial_seeds(7, 6)
-        seeds_large = spawn_trial_seeds(7, 20)
-        assert np.array_equal(
-            seeds_small[5].generate_state(2), seeds_large[5].generate_state(2)
-        )
+        assert np.array_equal(trial_words(7, 0, 6)[5], trial_words(7, 0, 20)[5])
+        assert np.array_equal(trial_words(7, 5, 6)[0], trial_words(7, 0, 20)[5])
 
     def test_distinct_trials_distinct_streams(self):
         draws = {trial_rng(0, i).random() for i in range(50)}
         assert len(draws) == 50
+        assert len({tuple(row) for row in trial_words(0, 0, 50)}) == 50
+
+    def test_generator_streams_never_replay_the_block_stream(self):
+        # Trial generators key Philox with (seed, i + 1); the block
+        # stream keys it with (seed, 0), so their first words differ.
+        blocks = {int(w) for w in trial_words(3, 0, 64).ravel()}
+        for i in range(64):
+            raw = trial_rng(3, i).bit_generator.random_raw(4)
+            assert blocks.isdisjoint(int(w) for w in raw)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            trial_seed_sequence(0, -1)
+            trial_rng(0, -1)
+        with pytest.raises(ValueError):
+            trial_words(0, -1, 4)
+        with pytest.raises(ValueError):
+            trial_words(0, 4, 3)
 
 
 class TestChunking:
@@ -72,6 +79,7 @@ class TestChunking:
         assert len(chunk) == 4
         direct = [trial_rng(3, i).random() for i in range(10, 14)]
         assert [rng.random() for rng in chunk.rngs()] == direct
+        assert np.array_equal(chunk.words(), trial_words(3, 0, 14)[10:])
 
 
 class TestResultCache:
